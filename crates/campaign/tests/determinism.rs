@@ -325,3 +325,22 @@ fn a_panicking_cell_is_reported_and_excluded_deterministically() {
     assert_eq!(artifacts[0], artifacts[1], "artifacts match despite the failure");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn smoke_suite_reproduces_the_committed_artifact() {
+    // The committed smoke artifact pins the simulated results: a change
+    // that only makes the simulator faster must leave every byte alone.
+    let committed = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("../../results/campaign/smoke.jsonl");
+    let dir = scratch("smoke-golden");
+    let merged = dir.join("smoke.jsonl");
+    let campaign = inpg_campaign::suites::build("smoke", None, &[0x1a9e_4711]).unwrap();
+    let report = execute(&campaign, &opts(2, None, merged.clone())).unwrap();
+    assert_eq!(report.executed, campaign.cells.len());
+    assert!(report.failed.is_empty());
+    assert!(
+        std::fs::read(&merged).unwrap() == std::fs::read(&committed).unwrap(),
+        "smoke artifact drifted from results/campaign/smoke.jsonl"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -135,7 +135,8 @@ impl NocConfig {
     /// # Errors
     ///
     /// Returns a [`ConfigError`] when any dimension or buffer parameter is
-    /// zero, or the barrier table is configured on a mesh with no routers.
+    /// zero, a port has more VCs than the 64-bit switch-allocation masks
+    /// hold, or the barrier table is configured on a mesh with no routers.
     pub fn validate(&self) -> Result<(), ConfigError> {
         if self.width == 0 || self.height == 0 {
             return Err(ConfigError::new("mesh dimensions must be nonzero"));
@@ -145,6 +146,13 @@ impl NocConfig {
         }
         if self.vcs_per_vnet == 0 {
             return Err(ConfigError::new("at least one VC per virtual network is required"));
+        }
+        if 5 * self.vcs_per_port() + 1 > 64 {
+            // Switch allocation keeps one bit per input VC of the five
+            // ports plus one for the packet generator in a u64.
+            return Err(ConfigError::new(
+                "at most 12 VCs per port (vnets x vcs_per_vnet) fit the switch allocator",
+            ));
         }
         if self.vc_depth == 0 {
             return Err(ConfigError::new("VC buffers must hold at least one flit"));
@@ -222,6 +230,18 @@ mod tests {
 
         let mut cfg = NocConfig::paper_default();
         cfg.vc_depth = 0;
+        assert!(cfg.validate().is_err());
+
+        // 5 ports x 12 VCs + the generator is the most a u64 bid mask holds.
+        let mut cfg = NocConfig::paper_default();
+        cfg.vnets = 4;
+        cfg.vcs_per_vnet = 3;
+        assert!(cfg.validate().is_ok());
+        cfg.vnets = 13;
+        cfg.vcs_per_vnet = 1;
+        assert!(cfg.validate().is_err());
+        cfg.vnets = 4;
+        cfg.vcs_per_vnet = 4;
         assert!(cfg.validate().is_err());
 
         let mut cfg = NocConfig::paper_default();

@@ -17,14 +17,14 @@ pub enum NocViolation {
         /// Packets the counters say should be in flight.
         expected: u64,
     },
-    /// A router's cached buffered-flit counter disagrees with its buffers.
-    BufferAccounting {
+    /// A router's cached occupied-VC mask disagrees with its buffers.
+    OccupancyMask {
         /// Router coordinate.
         router: Coord,
-        /// The cached counter.
-        counter: usize,
-        /// Flits actually buffered.
-        actual: usize,
+        /// The cached mask, bit `port * vcs + vc`.
+        cached: u64,
+        /// The mask of input VCs actually holding flits.
+        actual: u64,
     },
     /// Credits plus downstream occupancy no longer equal the VC depth.
     CreditConservation {
@@ -64,9 +64,9 @@ impl fmt::Display for NocViolation {
                 "packet conservation: {counted} packets found in buffers but counters \
                  imply {expected} in flight"
             ),
-            NocViolation::BufferAccounting { router, counter, actual } => write!(
+            NocViolation::OccupancyMask { router, cached, actual } => write!(
                 f,
-                "router {router}: buffered counter {counter} != {actual} flits actually buffered"
+                "router {router}: occupied-VC mask {cached:#x} != {actual:#x} from its buffers"
             ),
             NocViolation::CreditConservation { router, port, vc, credits, occupancy, depth } => {
                 write!(

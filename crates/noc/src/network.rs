@@ -6,7 +6,7 @@ use crate::config::NocConfig;
 use crate::coord::{Coord, Direction, Port};
 use crate::invariant::NocViolation;
 use crate::packet::{Packet, PacketGenPayload, PacketId, Sink, VirtualNetwork};
-use crate::router::{Candidate, EjectSlot, Flit, FlitSource, OutRoute, Router};
+use crate::router::{Bids, EjectSlot, Flit, InputVc, OutRoute, Router, SetBits};
 use crate::stats::NocStats;
 use inpg_sim::{ConfigError, CoreId, Cycle};
 use std::collections::VecDeque;
@@ -236,7 +236,7 @@ impl<P: PacketGenPayload> Network<P> {
     /// Verifies internal conservation invariants, reporting the first
     /// violation as a typed value instead of panicking:
     ///
-    /// * every router's cached flit counter matches its buffers,
+    /// * every router's cached occupied-VC mask matches its buffers,
     /// * credits plus downstream buffer occupancy equal the VC depth,
     /// * every live barrier entry's TTL is in `1..=default`,
     /// * packets found by walking every queue and buffer equal
@@ -248,12 +248,18 @@ impl<P: PacketGenPayload> Network<P> {
     pub fn try_check_invariants(&self) -> Result<(), NocViolation> {
         let vcs = self.cfg.vcs_per_port();
         for router in &self.routers {
-            let total: usize = router.inputs.iter().flatten().map(|vc| vc.occupancy()).sum();
-            if total != router.buffered {
-                return Err(NocViolation::BufferAccounting {
+            let actual = router
+                .inputs
+                .iter()
+                .flatten()
+                .enumerate()
+                .filter(|(_, input)| input.occupancy() > 0)
+                .fold(0u64, |mask, (slot, _)| mask | 1 << slot);
+            if actual != router.occupied {
+                return Err(NocViolation::OccupancyMask {
                     router: router.coord,
-                    counter: router.buffered,
-                    actual: total,
+                    cached: router.occupied,
+                    actual,
                 });
             }
             for dir in Direction::ALL {
@@ -352,15 +358,15 @@ impl<P: PacketGenPayload> Network<P> {
         );
         for (node, router) in self.routers.iter().enumerate() {
             let pending_inject: usize = self.inject[node].iter().map(VecDeque::len).sum();
-            if router.buffered == 0 && router.gen_queue.is_empty() && pending_inject == 0 {
+            if router.occupied == 0 && router.gen_queue.is_empty() && pending_inject == 0 {
                 continue;
             }
+            let buffered: usize = router.inputs.iter().flatten().map(InputVc::occupancy).sum();
             let _ = write!(
                 out,
-                "  router {} ({}): {} flits buffered",
+                "  router {} ({}): {buffered} flits buffered",
                 router.coord,
                 if router.is_big() { "big" } else { "normal" },
-                router.buffered,
             );
             if pending_inject > 0 {
                 let _ = write!(out, ", {pending_inject} awaiting injection");
@@ -516,13 +522,13 @@ impl<P: PacketGenPayload> Network<P> {
         let nodes = self.cfg.nodes();
         let vcs = self.cfg.vcs_per_port();
         for node in 0..nodes {
-            if !self.routers[node].is_big() || self.routers[node].buffered == 0 {
+            if !self.routers[node].is_big() {
                 continue;
             }
-            for port in 0..5 {
-                for vc in 0..vcs {
-                    self.intercept_vc_head(now, node, port, vc);
-                }
+            // Interception only pops the VC it inspects, so a snapshot of
+            // the occupied VCs visits exactly the non-empty ones in order.
+            for slot in SetBits(self.routers[node].occupied) {
+                self.intercept_vc_head(now, node, slot / vcs, slot % vcs);
             }
         }
     }
@@ -691,13 +697,11 @@ impl<P: PacketGenPayload> Network<P> {
     /// Pops the (single-flit) head packet of a VC, returning credit to
     /// the upstream router.
     fn pop_head_packet(&mut self, node: usize, port: usize, vc: usize) -> Packet<P> {
-        let flit = self.routers[node].inputs[port][vc]
-            .flits
-            .pop_front()
+        let flit = self.routers[node]
+            .pop_flit(port, vc)
             // lint: allow(unwrap) — interception actions are decided while
             // inspecting this VC's front flit, which stays put until here.
             .expect("caller checked the flit exists");
-        self.routers[node].buffered -= 1;
         debug_assert!(flit.tail, "interception only consumes single-flit packets");
         self.routers[node].inputs[port][vc].route = None;
         self.return_credit(node, port, vc);
@@ -750,179 +754,129 @@ impl<P: PacketGenPayload> Network<P> {
         }
     }
 
+    /// Switch allocation for one router: every eligible front flit is
+    /// routed and VC-allocated once and bids for its single output port;
+    /// the output ports then grant in [`Port::ALL`] order, at most one
+    /// flit per input port (and the generator) per cycle.
+    ///
+    /// One bid collection serves all five grants because a grant on
+    /// output `k` changes only output `k`'s credits and VC owners, the
+    /// flit it pushes downstream is not eligible before `now + 2`, and
+    /// the VC it pops belongs to an input port that is then excluded.
     fn switch_router(&mut self, now: Cycle, node: usize) {
-        if self.routers[node].buffered == 0 && self.routers[node].gen_queue.is_empty() {
+        let router = &self.routers[node];
+        if router.occupied == 0 && router.gen_queue.is_empty() {
             return;
         }
-        let mut used_inputs = [false; 6]; // 5 ports + generator
+        let bids = self.collect_bids(now, node);
+        let vcs = self.cfg.vcs_per_port();
+        let generator = self.routers[node].generator_slot();
+        let port_slots = (1u64 << vcs) - 1;
+        let mut used = 0u64;
         for out_port in Port::ALL {
-            let candidates = self.gather_candidates(now, node, out_port, &used_inputs);
+            let open = bids.by_out[out_port.index()] & !used;
             let winner = self.routers[node].pick_winner(
                 out_port,
-                &candidates,
+                open,
+                &bids.priority,
                 self.cfg.ocor_arbitration,
             );
-            if let Some(winner) = winner {
-                match winner.source {
-                    FlitSource::Vc(p, _) => used_inputs[p] = true,
-                    FlitSource::Generator => used_inputs[5] = true,
-                }
-                self.apply_move(now, node, winner);
-            }
+            let Some(slot) = winner else { continue };
+            used |= if slot == generator { 1 << slot } else { port_slots << (slot / vcs * vcs) };
+            let out = OutRoute { port: out_port, vc: bids.out_vc[slot] as usize };
+            self.apply_move(now, node, slot, out, bids.claims_vc & 1 << slot != 0);
         }
     }
 
-    /// Collects the switch-allocation candidates targeting `out_port`.
-    fn gather_candidates(
-        &self,
-        now: Cycle,
-        node: usize,
-        out_port: Port,
-        used_inputs: &[bool; 6],
-    ) -> Vec<Candidate> {
+    /// Route computation and VC allocation for `node`'s eligible front
+    /// flits and its generator's front packet.
+    fn collect_bids(&self, now: Cycle, node: usize) -> Bids {
         let router = &self.routers[node];
         let vcs = self.cfg.vcs_per_port();
         let vcs_per_vnet = self.cfg.vcs_per_vnet as usize;
-        let mut out = Vec::new();
-        #[allow(clippy::needless_range_loop)] // port is an index into two tables
-        for port in 0..5 {
-            if used_inputs[port] {
+        let mut bids = Bids::new();
+        for slot in SetBits(router.occupied) {
+            let input = &router.inputs[slot / vcs][slot % vcs];
+            let Some(flit) = input.flits.front() else { continue };
+            if flit.eligible_at > now {
                 continue;
             }
-            for vc in 0..vcs {
-                let input = &router.inputs[port][vc];
-                let Some(flit) = input.flits.front() else { continue };
-                if flit.eligible_at > now {
+            if let Some(packet) = flit.head.as_deref() {
+                if packet.sink == Sink::Router && packet.dst == router.coord {
+                    // Router-sink packets are consumed by the interception
+                    // phase, never ejected; leave the flit for the next
+                    // cycle's interception sweep.
                     continue;
                 }
-                let candidate = if let Some(packet) = flit.head.as_deref() {
-                    // Head flit: route computation + VC allocation.
-                    let route_port = match router.coord.xy_next_hop(packet.dst) {
-                        Some(dir) => Port::Link(dir),
-                        None => Port::Local,
-                    };
-                    if route_port == Port::Local && packet.sink == Sink::Router {
-                        // Router-sink packets are consumed by the
-                        // interception phase, never ejected; leave the
-                        // flit for the next cycle's interception sweep.
-                        continue;
-                    }
-                    if route_port != out_port {
-                        continue;
-                    }
-                    let out_vc = if route_port == Port::Local {
-                        0
-                    } else {
-                        match router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet)
-                        {
-                            Some(v) => v,
-                            None => continue, // VA stall
-                        }
-                    };
-                    Candidate {
-                        source: FlitSource::Vc(port, vc),
-                        out: OutRoute { port: route_port, vc: out_vc },
-                        claims_vc: route_port != Port::Local,
-                        priority: aged_priority(packet, now),
-                        order_key: port * vcs + vc,
-                    }
-                } else {
-                    // Body flit: follows the route claimed by its head.
-                    let Some(route) = input.route else { continue };
-                    if route.port != out_port {
-                        continue;
-                    }
-                    if route.port != Port::Local
-                        && router.out_credits[route.port.index()][route.vc] == 0
-                    {
-                        continue; // no credit downstream
-                    }
-                    Candidate {
-                        source: FlitSource::Vc(port, vc),
-                        out: route,
-                        claims_vc: false,
-                        priority: 0,
-                        order_key: port * vcs + vc,
-                    }
-                };
-                out.push(candidate);
+                if let Some(out) = router.head_route(packet, vcs_per_vnet) {
+                    let priority = aged_priority(packet, now);
+                    bids.add(slot, out, out.port != Port::Local, priority);
+                }
+            } else if let Some(route) = input.route {
+                // Body flit: follows the route claimed by its head, if
+                // the downstream VC has a credit.
+                if route.port == Port::Local || router.out_credits[route.port.index()][route.vc] > 0
+                {
+                    bids.add(slot, route, false, 0);
+                }
             }
         }
         // The packet generator's front packet bids like a sixth input.
-        if !used_inputs[5] {
-            if let Some(packet) = router.gen_queue.front() {
-                let route_port = match router.coord.xy_next_hop(packet.dst) {
-                    Some(dir) => Port::Link(dir),
-                    None => Port::Local,
-                };
-                if route_port == out_port {
-                    let out_vc = if route_port == Port::Local {
-                        Some(0)
-                    } else {
-                        router.allocate_vc(route_port, packet.vnet.index(), vcs_per_vnet)
-                    };
-                    if let Some(out_vc) = out_vc {
-                        out.push(Candidate {
-                            source: FlitSource::Generator,
-                            out: OutRoute { port: route_port, vc: out_vc },
-                            claims_vc: route_port != Port::Local,
-                            priority: aged_priority(packet, now),
-                            order_key: 5 * vcs,
-                        });
-                    }
-                }
+        if let Some(packet) = router.gen_queue.front() {
+            if let Some(out) = router.head_route(packet, vcs_per_vnet) {
+                let priority = aged_priority(packet, now);
+                bids.add(router.generator_slot(), out, out.port != Port::Local, priority);
             }
         }
-        out
+        bids
     }
 
-    /// Executes one granted switch traversal.
-    fn apply_move(&mut self, now: Cycle, node: usize, winner: Candidate) {
-        let flit = match winner.source {
-            FlitSource::Vc(port, vc) => {
-                let input = &mut self.routers[node].inputs[port][vc];
-                // lint: allow(unwrap) — the candidate was built from this
-                // VC's front flit in the same cycle; nothing drains between.
-                let flit = input.flits.pop_front().expect("candidate flit exists");
-                if flit.head.is_some() {
-                    input.route = Some(winner.out);
-                }
-                if flit.tail {
-                    input.route = None;
-                }
-                self.routers[node].buffered -= 1;
-                self.return_credit(node, port, vc);
-                flit
+    /// Executes one granted switch traversal of input `slot` along `out`.
+    fn apply_move(&mut self, now: Cycle, node: usize, slot: usize, out: OutRoute, claims_vc: bool) {
+        let flit = if slot == self.routers[node].generator_slot() {
+            let packet =
+                // lint: allow(unwrap) — the generator slot only bids when
+                // gen_queue has a front packet.
+                self.routers[node].gen_queue.pop_front().expect("bidding packet exists");
+            debug_assert_eq!(packet.flits, 1, "generated packets are single-flit");
+            Flit {
+                packet_id: packet.id,
+                tail: true,
+                eligible_at: now,
+                head: Some(Box::new(packet)),
             }
-            FlitSource::Generator => {
-                let packet =
-                    // lint: allow(unwrap) — a Generator candidate is only
-                    // emitted when gen_queue has a front packet.
-                    self.routers[node].gen_queue.pop_front().expect("candidate packet exists");
-                debug_assert_eq!(packet.flits, 1, "generated packets are single-flit");
-                Flit {
-                    packet_id: packet.id,
-                    tail: true,
-                    eligible_at: now,
-                    head: Some(Box::new(packet)),
-                }
+        } else {
+            let vcs = self.cfg.vcs_per_port();
+            let (port, vc) = (slot / vcs, slot % vcs);
+            let router = &mut self.routers[node];
+            // lint: allow(unwrap) — the bid was built from this VC's front
+            // flit in the same cycle; nothing drains between.
+            let flit = router.pop_flit(port, vc).expect("bidding flit exists");
+            let input = &mut router.inputs[port][vc];
+            if flit.head.is_some() {
+                input.route = Some(out);
             }
+            if flit.tail {
+                input.route = None;
+            }
+            self.return_credit(node, port, vc);
+            flit
         };
         self.stats.flit_hops += 1;
 
-        match winner.out.port {
+        match out.port {
             Port::Local => self.eject_flit(now, node, flit),
             Port::Link(dir) => {
                 let router = &mut self.routers[node];
-                let p = winner.out.port.index();
-                if winner.claims_vc {
-                    debug_assert!(router.out_owner[p][winner.out.vc].is_none());
-                    router.out_owner[p][winner.out.vc] = Some(flit.packet_id);
+                let p = out.port.index();
+                if claims_vc {
+                    debug_assert!(router.out_owner[p][out.vc].is_none());
+                    router.out_owner[p][out.vc] = Some(flit.packet_id);
                 }
-                debug_assert!(router.out_credits[p][winner.out.vc] > 0);
-                router.out_credits[p][winner.out.vc] -= 1;
+                debug_assert!(router.out_credits[p][out.vc] > 0);
+                router.out_credits[p][out.vc] -= 1;
                 if flit.tail {
-                    router.out_owner[p][winner.out.vc] = None;
+                    router.out_owner[p][out.vc] = None;
                 }
                 let coord = router.coord;
                 let neighbor = coord
@@ -938,8 +892,7 @@ impl<P: PacketGenPayload> Network<P> {
                 // cycles after leaving this one (2-cycle hop, Table 1's
                 // 2-stage pipelined router).
                 flit.eligible_at = now + 2;
-                self.routers[n_node].inputs[in_port][winner.out.vc].flits.push_back(flit);
-                self.routers[n_node].buffered += 1;
+                self.routers[n_node].push_flit(in_port, out.vc, flit);
             }
         }
     }
@@ -1010,19 +963,14 @@ impl<P: PacketGenPayload> Network<P> {
 
         if let Some(progress) = self.inject_state[node][vnet] {
             // Continue streaming the in-flight packet.
-            let input = &mut self.routers[node].inputs[local][progress.vc];
-            if input.occupancy() >= vc_depth {
+            if self.routers[node].inputs[local][progress.vc].occupancy() >= vc_depth {
                 return false;
             }
             let sent = progress.sent + 1;
             let tail = sent == progress.total;
-            input.flits.push_back(Flit {
-                packet_id: progress.packet_id,
-                head: None,
-                tail,
-                eligible_at: now + 1,
-            });
-            self.routers[node].buffered += 1;
+            let flit =
+                Flit { packet_id: progress.packet_id, head: None, tail, eligible_at: now + 1 };
+            self.routers[node].push_flit(local, progress.vc, flit);
             self.inject_state[node][vnet] =
                 (!tail).then_some(InjectProgress { sent, ..progress });
             return true;
@@ -1070,13 +1018,8 @@ impl<P: PacketGenPayload> Network<P> {
                 }
             }
         }
-        self.routers[node].inputs[local][vc].flits.push_back(Flit {
-            packet_id: id,
-            head: Some(Box::new(packet)),
-            tail,
-            eligible_at,
-        });
-        self.routers[node].buffered += 1;
+        let flit = Flit { packet_id: id, head: Some(Box::new(packet)), tail, eligible_at };
+        self.routers[node].push_flit(local, vc, flit);
         if !tail {
             self.inject_state[node][vnet] =
                 Some(InjectProgress { packet_id: id, vc, sent: 1, total });

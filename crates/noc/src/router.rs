@@ -54,25 +54,56 @@ impl<P> InputVc<P> {
     }
 }
 
-/// Where a switch-allocation candidate's flit lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum FlitSource {
-    /// An input VC: (port index, vc index).
-    Vc(usize, usize),
-    /// The front of the packet generator's output queue.
-    Generator,
+/// Iterates the indices of the set bits of a mask, lowest first.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SetBits(pub u64);
+
+impl Iterator for SetBits {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        if self.0 == 0 {
+            return None;
+        }
+        let bit = self.0.trailing_zeros() as usize;
+        self.0 &= self.0 - 1;
+        Some(bit)
+    }
 }
 
-/// One switch-allocation candidate.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Candidate {
-    pub source: FlitSource,
-    pub out: OutRoute,
-    /// True when the flit is a head flit that must claim the output VC.
-    pub claims_vc: bool,
-    pub priority: u8,
-    /// Deterministic round-robin ordering key.
-    pub order_key: usize,
+/// One router's switch-allocation bids for one cycle.
+///
+/// Every input slot is one bit: input VC `vc` on port `port` is bit
+/// `port * vcs + vc`, and the packet generator's front packet is bit
+/// `5 * vcs`. Each eligible flit bids for exactly one output port.
+#[derive(Debug)]
+pub(crate) struct Bids {
+    /// Slots bidding for each output port, indexed by [`Port::index`].
+    pub by_out: [u64; 5],
+    /// Slots whose head flit claims its downstream VC when granted.
+    pub claims_vc: u64,
+    /// Downstream VC each slot bids for (0 for local ejection).
+    pub out_vc: [u8; 64],
+    /// Aged OCOR priority of each slot's flit (0 for body flits).
+    pub priority: [u8; 64],
+}
+
+impl Bids {
+    pub(crate) fn new() -> Self {
+        Bids { by_out: [0; 5], claims_vc: 0, out_vc: [0; 64], priority: [0; 64] }
+    }
+
+    /// Records `slot`'s bid for `out`.
+    pub(crate) fn add(&mut self, slot: usize, out: OutRoute, claims_vc: bool, priority: u8) {
+        let bit = 1u64 << slot;
+        self.by_out[out.port.index()] |= bit;
+        if claims_vc {
+            self.claims_vc |= bit;
+        }
+        // VC indices fit a byte: validation caps a port at 12 VCs.
+        self.out_vc[slot] = out.vc as u8;
+        self.priority[slot] = priority;
+    }
 }
 
 /// Per-packet ejection reassembly state.
@@ -97,14 +128,17 @@ pub(crate) struct Router<P> {
     pub gen_queue: VecDeque<Packet<P>>,
     /// Locking barrier table; `Some` iff this is a big router.
     pub barrier: Option<LockingBarrierTable>,
-    /// Round-robin pointer per output port.
+    /// Round-robin pointer per output port: the lowest input slot that
+    /// has priority in the next grant.
     pub rr: [usize; 5],
     /// In-progress ejection reassembly. Ordered so router state stays
     /// canonical — iteration order must not depend on hash seeds.
     pub eject: BTreeMap<PacketId, EjectSlot<P>>,
-    /// Total flits buffered across all input VCs (fast-path check so the
-    /// per-cycle sweep can skip idle routers).
-    pub buffered: usize,
+    /// VCs per input port.
+    pub vcs: usize,
+    /// Non-empty input VCs, bit `port * vcs + vc`: the per-cycle sweeps
+    /// visit only these and skip idle routers outright.
+    pub occupied: u64,
 }
 
 impl<P: PacketGenPayload> Router<P> {
@@ -125,7 +159,8 @@ impl<P: PacketGenPayload> Router<P> {
             barrier,
             rr: [0; 5],
             eject: BTreeMap::new(),
-            buffered: 0,
+            vcs: vcs_per_port,
+            occupied: 0,
         }
     }
 
@@ -148,30 +183,64 @@ impl<P: PacketGenPayload> Router<P> {
             .find(|&vc| self.out_owner[p][vc].is_none() && self.out_credits[p][vc] > 0)
     }
 
-    /// Deterministic round-robin winner selection for one output port.
+    /// The input slot of the packet generator's front packet.
+    pub(crate) fn generator_slot(&self) -> usize {
+        5 * self.vcs
+    }
+
+    /// Route computation and VC allocation for a head flit carrying
+    /// `packet`: its XY output port and a free downstream VC (0 for local
+    /// ejection), or `None` on a VA stall.
+    pub(crate) fn head_route(&self, packet: &Packet<P>, vcs_per_vnet: usize) -> Option<OutRoute> {
+        let Some(dir) = self.coord.xy_next_hop(packet.dst) else {
+            return Some(OutRoute { port: Port::Local, vc: 0 });
+        };
+        let port = Port::Link(dir);
+        let vc = self.allocate_vc(port, packet.vnet.index(), vcs_per_vnet)?;
+        Some(OutRoute { port, vc })
+    }
+
+    /// Appends `flit` to input VC `(port, vc)`.
+    pub(crate) fn push_flit(&mut self, port: usize, vc: usize, flit: Flit<P>) {
+        self.inputs[port][vc].flits.push_back(flit);
+        self.occupied |= 1 << (port * self.vcs + vc);
+    }
+
+    /// Removes the front flit of input VC `(port, vc)`.
+    pub(crate) fn pop_flit(&mut self, port: usize, vc: usize) -> Option<Flit<P>> {
+        let input = &mut self.inputs[port][vc];
+        let flit = input.flits.pop_front();
+        if input.flits.is_empty() {
+            self.occupied &= !(1 << (port * self.vcs + vc));
+        }
+        flit
+    }
+
+    /// Deterministic round-robin winner selection for one output port
+    /// among the input slots set in `bids`.
     ///
-    /// Highest priority wins when `by_priority` is set (OCOR); ties (and
-    /// the non-OCOR case) fall to a cyclic round-robin over `order_key`.
+    /// Highest `priority` wins when `by_priority` is set (OCOR); ties
+    /// (and the non-OCOR case) go to the first slot at or after the
+    /// port's round-robin pointer, wrapping cyclically.
     pub(crate) fn pick_winner(
         &mut self,
         out_port: Port,
-        candidates: &[Candidate],
+        bids: u64,
+        priority: &[u8; 64],
         by_priority: bool,
-    ) -> Option<Candidate> {
+    ) -> Option<usize> {
+        let mut open = bids;
+        if by_priority {
+            let max = SetBits(open).map(|slot| priority[slot]).max()?;
+            open = SetBits(open).filter(|&slot| priority[slot] == max).fold(0, |m, s| m | 1 << s);
+        }
+        if open == 0 {
+            return None;
+        }
         let p = out_port.index();
-        let ptr = self.rr[p];
-        // Cyclic distance from the round-robin pointer.
-        let distance = |c: &Candidate| {
-            let k = c.order_key;
-            if k >= ptr { k - ptr } else { k + 1_000_000 - ptr }
-        };
-        let winner = if by_priority {
-            let max = candidates.iter().map(|c| c.priority).max()?;
-            candidates.iter().filter(|c| c.priority == max).copied().min_by_key(distance)?
-        } else {
-            candidates.iter().copied().min_by_key(distance)?
-        };
-        self.rr[p] = winner.order_key + 1;
+        let from_ptr = open & u64::MAX.checked_shl(self.rr[p] as u32).unwrap_or(0);
+        let winner = if from_ptr != 0 { from_ptr } else { open }.trailing_zeros() as usize;
+        self.rr[p] = winner + 1;
         Some(winner)
     }
 }
@@ -185,14 +254,15 @@ mod tests {
         Router::new(Coord::new(0, 0), 8, 4, None)
     }
 
-    fn cand(order_key: usize, priority: u8) -> Candidate {
-        Candidate {
-            source: FlitSource::Vc(0, order_key),
-            out: OutRoute { port: Port::Local, vc: 0 },
-            claims_vc: false,
-            priority,
-            order_key,
+    /// Bid mask and priority table for `(slot, priority)` pairs.
+    fn bids(slots: &[(usize, u8)]) -> (u64, [u8; 64]) {
+        let mut mask = 0;
+        let mut priority = [0; 64];
+        for &(slot, p) in slots {
+            mask |= 1 << slot;
+            priority[slot] = p;
         }
+        (mask, priority)
     }
 
     #[test]
@@ -209,41 +279,79 @@ mod tests {
     #[test]
     fn round_robin_rotates() {
         let mut r = router();
-        let cands = vec![cand(0, 0), cand(1, 0), cand(2, 0)];
-        let w1 = r.pick_winner(Port::Local, &cands, false).unwrap();
-        assert_eq!(w1.order_key, 0);
-        let w2 = r.pick_winner(Port::Local, &cands, false).unwrap();
-        assert_eq!(w2.order_key, 1);
-        let w3 = r.pick_winner(Port::Local, &cands, false).unwrap();
-        assert_eq!(w3.order_key, 2);
-        let w4 = r.pick_winner(Port::Local, &cands, false).unwrap();
-        assert_eq!(w4.order_key, 0, "wraps around");
+        let (mask, prio) = bids(&[(0, 0), (1, 0), (2, 0)]);
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(0));
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(1));
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(2));
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(0), "wraps around");
     }
 
     #[test]
     fn priority_beats_round_robin_when_enabled() {
         let mut r = router();
-        let cands = vec![cand(0, 1), cand(1, 5), cand(2, 3)];
-        let w = r.pick_winner(Port::Local, &cands, true).unwrap();
-        assert_eq!(w.order_key, 1, "highest OCOR priority wins");
+        let (mask, prio) = bids(&[(0, 1), (1, 5), (2, 3)]);
+        assert_eq!(
+            r.pick_winner(Port::Local, mask, &prio, true),
+            Some(1),
+            "highest OCOR priority wins"
+        );
         // Without OCOR arbitration, round-robin ignores priority.
-        let w = r.pick_winner(Port::Local, &cands, false).unwrap();
-        assert_eq!(w.order_key, 2, "rr pointer advanced past 1");
+        assert_eq!(
+            r.pick_winner(Port::Local, mask, &prio, false),
+            Some(2),
+            "rr pointer advanced past 1"
+        );
     }
 
     #[test]
     fn priority_ties_fall_to_round_robin() {
         let mut r = router();
-        let cands = vec![cand(0, 5), cand(3, 5), cand(7, 2)];
-        let w1 = r.pick_winner(Port::Local, &cands, true).unwrap();
-        assert_eq!(w1.order_key, 0);
-        let w2 = r.pick_winner(Port::Local, &cands, true).unwrap();
-        assert_eq!(w2.order_key, 3);
+        let (mask, prio) = bids(&[(0, 5), (3, 5), (7, 2)]);
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, true), Some(0));
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, true), Some(3));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
         let mut r = router();
-        assert!(r.pick_winner(Port::Local, &[], false).is_none());
+        assert_eq!(r.pick_winner(Port::Local, 0, &[0; 64], false), None);
+        assert_eq!(r.pick_winner(Port::Local, 0, &[0; 64], true), None);
+    }
+
+    #[test]
+    fn pointer_past_the_top_slot_wraps_to_the_lowest_bid() {
+        let mut r = router();
+        let (mask, prio) = bids(&[(4, 0), (63, 0)]);
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(4));
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(63));
+        // The pointer now sits at 64, past every slot: wrap to the lowest.
+        assert_eq!(r.rr[Port::Local.index()], 64);
+        assert_eq!(r.pick_winner(Port::Local, mask, &prio, false), Some(4));
+    }
+
+    #[test]
+    fn occupancy_mask_tracks_push_and_pop() {
+        let mut r = router();
+        let flit = || Flit {
+            packet_id: PacketId::new(1),
+            head: None,
+            tail: false,
+            eligible_at: Cycle::ZERO,
+        };
+        r.push_flit(2, 3, flit());
+        r.push_flit(2, 3, flit());
+        assert_eq!(r.occupied, 1 << (2 * 8 + 3));
+        assert!(r.pop_flit(2, 3).is_some());
+        assert_eq!(r.occupied, 1 << (2 * 8 + 3), "one flit still buffered");
+        assert!(r.pop_flit(2, 3).is_some());
+        assert_eq!(r.occupied, 0);
+        assert!(r.pop_flit(2, 3).is_none());
+    }
+
+    #[test]
+    fn set_bits_lists_indices_in_ascending_order() {
+        let bits: Vec<usize> = SetBits(0b1010_0001 | 1 << 63).collect();
+        assert_eq!(bits, vec![0, 5, 7, 63]);
+        assert_eq!(SetBits(0).next(), None);
     }
 }
