@@ -1220,6 +1220,18 @@ impl L1Cache {
         }
     }
 
+    /// Whether a completion event is scheduled. [`tick`](Self::tick) is
+    /// a no-op while this is false.
+    pub fn timers_pending(&self) -> bool {
+        !self.done.is_empty()
+    }
+
+    /// Whether the outstanding operation's completion is ready for
+    /// [`take_completion`](Self::take_completion).
+    pub fn completion_ready(&self) -> bool {
+        self.completed.is_some()
+    }
+
     /// Advances internal timers (hit-latency and completion events).
     pub fn tick(&mut self, now: Cycle) {
         if self.completed.is_none() {

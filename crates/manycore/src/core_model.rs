@@ -162,6 +162,23 @@ impl CoreModel {
         }
     }
 
+    /// Whether [`tick`](Self::tick) at `now` would do anything: the core
+    /// is dispatching, a timed state's `until` has passed, or a memory
+    /// operation's completion is ready. In every other state `tick`
+    /// returns without touching the core, the L1 or the outbox.
+    pub(crate) fn is_due(&self, now: Cycle, l1: &L1Cache) -> bool {
+        match self.state {
+            CoreState::Dispatch => true,
+            CoreState::Computing { until }
+            | CoreState::PausedUntil { until }
+            | CoreState::FallingAsleep { until }
+            | CoreState::Waking { until }
+            | CoreState::CsBody { until } => now >= until,
+            CoreState::MemWait => l1.completion_ready(),
+            CoreState::Sleeping | CoreState::Done => false,
+        }
+    }
+
     /// One simulation cycle: reacts to finished memory operations and
     /// elapsed timers.
     pub(crate) fn tick(

@@ -44,6 +44,8 @@ pub struct System {
     timeline: Option<Timeline>,
     lock_layouts: Vec<LockLayout>,
     now: Cycle,
+    /// Cores whose program has finished.
+    cores_done: usize,
     outbox: Vec<Envelope>,
     /// Core whose delivered packets are logged to stderr
     /// (`INPG_TRACE_CORE`, debugging aid; read once at construction).
@@ -166,6 +168,7 @@ impl System {
             timeline,
             lock_layouts,
             now: Cycle::ZERO,
+            cores_done: 0,
             outbox: Vec::new(),
             trace_core: std::env::var("INPG_TRACE_CORE").ok().and_then(|v| v.parse().ok()),
             abort: None,
@@ -199,7 +202,7 @@ impl System {
 
     /// Whether every thread has finished.
     pub fn all_done(&self) -> bool {
-        self.cores.iter().all(CoreModel::is_done)
+        self.cores_done == self.cores.len()
     }
 
     /// Advances the machine one cycle.
@@ -219,6 +222,12 @@ impl System {
     /// (a pure L1 or home step function rejecting a delivered message)
     /// as typed errors.
     ///
+    /// Only tiles with due work step: a home bank holding messages, an
+    /// L1 with a scheduled completion, a core whose state can advance,
+    /// and a node with delivered packets. Every skipped step would have
+    /// returned without changing any state, so the gating changes host
+    /// time only.
+    ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] naming the violation and the cycle.
@@ -229,9 +238,13 @@ impl System {
         // 1. The network moves flits and delivers packets.
         self.network.tick(now);
 
-        // 2. Dispatch delivered packets to L1s / home banks / OS.
-        for c in 0..cores {
-            while let Some(packet) = self.network.pop_delivered(CoreId::new(c)) {
+        // 2. Dispatch delivered packets to L1s / home banks / OS, visiting
+        // only the nodes that have some, in ascending order.
+        let mut next = 0;
+        while let Some(node) = self.network.next_delivered(next) {
+            let c = node.index();
+            next = c + 1;
+            while let Some(packet) = self.network.pop_delivered(node) {
                 if self.trace_core == Some(c) {
                     eprintln!("[{}] core {c} <- {:?} (monitored {:?})", now.as_u64(), packet.payload, self.cores[c].monitored_block());
                 }
@@ -277,17 +290,22 @@ impl System {
             }
         }
 
-        // 3. Home banks process one request each.
+        // 3. Home banks holding messages process one request each.
         for c in 0..cores {
+            if !self.homes[c].messages_pending() {
+                continue;
+            }
             let mut outbox = std::mem::take(&mut self.outbox);
             let ticked = self.homes[c].try_tick(now, &mut outbox);
             self.flush(c, outbox);
             ticked.map_err(|error| SimError::Protocol { cycle: now, error })?;
         }
 
-        // 4. L1 timers.
+        // 4. L1 timers with a completion scheduled.
         for l1 in &mut self.l1s {
-            l1.tick(now);
+            if l1.timers_pending() {
+                l1.tick(now);
+            }
         }
 
         // 4b. Recovery retransmission timers: a due timer aborts the
@@ -303,11 +321,18 @@ impl System {
             }
         }
 
-        // 5. Cores execute.
+        // 5. Cores with due work execute. A finished core is never due,
+        // so each one is counted once.
         for c in 0..cores {
+            if !self.cores[c].is_due(now, &self.l1s[c]) {
+                continue;
+            }
             let mut outbox = std::mem::take(&mut self.outbox);
             self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
             self.flush(c, outbox);
+            if self.cores[c].is_done() {
+                self.cores_done += 1;
+            }
         }
 
         self.now = now.next();

@@ -26,6 +26,26 @@ pub enum NocViolation {
         /// The mask of input VCs actually holding flits.
         actual: u64,
     },
+    /// A node's cached injection-pending count disagrees with the
+    /// packets queued or streaming at its network interface.
+    InjectPending {
+        /// Router coordinate of the node.
+        router: Coord,
+        /// The cached count.
+        cached: usize,
+        /// Packets queued for injection plus packets mid-injection.
+        actual: usize,
+    },
+    /// A node's delivered bit disagrees with its delivered queue: set
+    /// with nothing waiting, or clear with packets waiting.
+    DeliveredMask {
+        /// Router coordinate of the node.
+        router: Coord,
+        /// Whether the node's bit is set.
+        flagged: bool,
+        /// Packets awaiting pickup at the node.
+        waiting: usize,
+    },
     /// Credits plus downstream occupancy no longer equal the VC depth.
     CreditConservation {
         /// Upstream router coordinate.
@@ -67,6 +87,16 @@ impl fmt::Display for NocViolation {
             NocViolation::OccupancyMask { router, cached, actual } => write!(
                 f,
                 "router {router}: occupied-VC mask {cached:#x} != {actual:#x} from its buffers"
+            ),
+            NocViolation::InjectPending { router, cached, actual } => write!(
+                f,
+                "router {router}: injection-pending count {cached} != {actual} packets queued \
+                 or streaming"
+            ),
+            NocViolation::DeliveredMask { router, flagged, waiting } => write!(
+                f,
+                "router {router}: delivered bit {} with {waiting} packet(s) awaiting pickup",
+                if *flagged { "set" } else { "clear" }
             ),
             NocViolation::CreditConservation { router, port, vc, credits, occupancy, depth } => {
                 write!(

@@ -75,8 +75,15 @@ pub struct Network<P> {
     inject_state: Vec<Vec<Option<InjectProgress>>>,
     /// Per-node round-robin over vnets at the injection port.
     inject_rr: Vec<usize>,
+    /// Per-node packets not yet fully injected: queued in `inject` plus
+    /// streaming per `inject_state`. The injection phase skips nodes at
+    /// zero.
+    inject_pending: Vec<usize>,
     /// Per-node delivered packets awaiting pickup by the tile.
     delivered: Vec<VecDeque<Packet<P>>>,
+    /// Bit `node % 64` of word `node / 64` is set while `delivered[node]`
+    /// is non-empty, so the tile side visits only nodes with packets.
+    delivered_mask: Vec<u64>,
     next_packet_id: u64,
     stats: NocStats,
     /// Fault-injection jitter stream state.
@@ -130,7 +137,9 @@ impl<P: PacketGenPayload> Network<P> {
             inject: (0..nodes).map(|_| (0..cfg.vnets as usize).map(|_| VecDeque::new()).collect()).collect(),
             inject_state: (0..nodes).map(|_| vec![None; cfg.vnets as usize]).collect(),
             inject_rr: vec![0; nodes],
+            inject_pending: vec![0; nodes],
             delivered: (0..nodes).map(|_| VecDeque::new()).collect(),
+            delivered_mask: vec![0; nodes.div_ceil(64)],
             next_packet_id: 0,
             stats: NocStats::default(),
             fault_rng: cfg.faults.seed ^ 0x6a09_e667_f3bc_c908,
@@ -181,13 +190,33 @@ impl<P: PacketGenPayload> Network<P> {
         };
         self.stats.injected += 1;
         self.stats.in_flight += 1;
+        self.inject_pending[msg.src.index()] += 1;
         self.inject[msg.src.index()][msg.vnet.index()].push_back(packet);
         id
     }
 
     /// Removes and returns the next packet delivered to `node`'s NI.
     pub fn pop_delivered(&mut self, node: CoreId) -> Option<Packet<P>> {
-        self.delivered[node.index()].pop_front()
+        let n = node.index();
+        let packet = self.delivered[n].pop_front();
+        if self.delivered[n].is_empty() {
+            self.delivered_mask[n / 64] &= !(1 << (n % 64));
+        }
+        packet
+    }
+
+    /// The lowest node at or above `from` with delivered packets awaiting
+    /// pickup, if any. Draining it with
+    /// [`pop_delivered`](Self::pop_delivered) and asking again from the
+    /// next node visits every such node in ascending order.
+    pub fn next_delivered(&self, from: usize) -> Option<CoreId> {
+        let mut word = from / 64;
+        let mut bits = *self.delivered_mask.get(word)? & (u64::MAX << (from % 64));
+        while bits == 0 {
+            word += 1;
+            bits = *self.delivered_mask.get(word)?;
+        }
+        Some(CoreId::new(word * 64 + bits.trailing_zeros() as usize))
     }
 
     /// Packets currently inside the network (injected or generated but
@@ -237,6 +266,9 @@ impl<P: PacketGenPayload> Network<P> {
     /// violation as a typed value instead of panicking:
     ///
     /// * every router's cached occupied-VC mask matches its buffers,
+    /// * every node's injection-pending count equals its queued plus
+    ///   streaming packets, and its delivered bit is set exactly when
+    ///   packets await pickup,
     /// * credits plus downstream buffer occupancy equal the VC depth,
     /// * every live barrier entry's TTL is in `1..=default`,
     /// * packets found by walking every queue and buffer equal
@@ -247,7 +279,24 @@ impl<P: PacketGenPayload> Network<P> {
     /// Returns the first [`NocViolation`] found.
     pub fn try_check_invariants(&self) -> Result<(), NocViolation> {
         let vcs = self.cfg.vcs_per_port();
-        for router in &self.routers {
+        for (node, router) in self.routers.iter().enumerate() {
+            let queued: usize = self.inject[node].iter().map(VecDeque::len).sum();
+            let streaming = self.inject_state[node].iter().flatten().count();
+            if self.inject_pending[node] != queued + streaming {
+                return Err(NocViolation::InjectPending {
+                    router: router.coord,
+                    cached: self.inject_pending[node],
+                    actual: queued + streaming,
+                });
+            }
+            let flagged = (self.delivered_mask[node / 64] >> (node % 64)) & 1 == 1;
+            if flagged == self.delivered[node].is_empty() {
+                return Err(NocViolation::DeliveredMask {
+                    router: router.coord,
+                    flagged,
+                    waiting: self.delivered[node].len(),
+                });
+            }
             let actual = router
                 .inputs
                 .iter()
@@ -934,6 +983,7 @@ impl<P: PacketGenPayload> Network<P> {
             self.stats.record_delivery(packet.vnet, latency);
             self.stats.in_flight -= 1;
             self.delivered[node].push_back(packet);
+            self.delivered_mask[node / 64] |= 1 << (node % 64);
         }
     }
 
@@ -943,6 +993,9 @@ impl<P: PacketGenPayload> Network<P> {
         let nodes = self.cfg.nodes();
         let vnets = self.cfg.vnets as usize;
         for node in 0..nodes {
+            if self.inject_pending[node] == 0 {
+                continue;
+            }
             let start = self.inject_rr[node];
             for offset in 0..vnets {
                 let vnet = (start + offset) % vnets;
@@ -973,6 +1026,9 @@ impl<P: PacketGenPayload> Network<P> {
             self.routers[node].push_flit(local, progress.vc, flit);
             self.inject_state[node][vnet] =
                 (!tail).then_some(InjectProgress { sent, ..progress });
+            if tail {
+                self.inject_pending[node] -= 1;
+            }
             return true;
         }
 
@@ -996,6 +1052,7 @@ impl<P: PacketGenPayload> Network<P> {
         if packet.vnet == VirtualNetwork::REQUEST && self.cfg.faults.link_drop_nth().is_some() {
             self.requests_observed += 1;
             if self.cfg.faults.link_drop_nth() == Some(self.requests_observed) {
+                self.inject_pending[node] -= 1;
                 self.stats.in_flight -= 1;
                 self.stats.consumed += 1;
                 self.stats.requests_dropped_by_fault += 1;
@@ -1020,7 +1077,9 @@ impl<P: PacketGenPayload> Network<P> {
         }
         let flit = Flit { packet_id: id, head: Some(Box::new(packet)), tail, eligible_at };
         self.routers[node].push_flit(local, vc, flit);
-        if !tail {
+        if tail {
+            self.inject_pending[node] -= 1;
+        } else {
             self.inject_state[node][vnet] =
                 Some(InjectProgress { packet_id: id, vc, sent: 1, total });
         }
@@ -1210,6 +1269,89 @@ mod tests {
             log
         };
         assert_eq!(run(), run());
+    }
+
+    #[test]
+    fn activity_indexes_track_injection_and_delivery() {
+        let mut network = net(NocConfig::baseline());
+        network.send(Cycle::ZERO, msg(0, 9, 8));
+        network.send(Cycle::ZERO, msg(0, 9, 1));
+        network.send(Cycle::ZERO, msg(3, 12, 1));
+        assert_eq!(network.inject_pending[0], 2);
+        assert_eq!(network.next_delivered(0), None);
+        let mut now = Cycle::ZERO;
+        while network.stats().delivered < 3 {
+            network.tick(now);
+            network.check_invariants();
+            now = now.next();
+            assert!(now.as_u64() < 500, "packets not delivered");
+        }
+        assert_eq!(network.inject_pending, vec![0; 64]);
+        assert_eq!(network.next_delivered(0), Some(CoreId::new(9)));
+        assert_eq!(network.next_delivered(10), Some(CoreId::new(12)));
+        assert_eq!(network.next_delivered(13), None);
+        while network.pop_delivered(CoreId::new(9)).is_some() {}
+        assert_eq!(network.next_delivered(0), Some(CoreId::new(12)));
+        network.check_invariants();
+    }
+
+    #[test]
+    fn next_delivered_spans_mask_words() {
+        let cfg = NocConfig { width: 16, height: 8, ..NocConfig::baseline() };
+        let mut network = net(cfg);
+        network.send(Cycle::ZERO, msg(0, 64, 1));
+        network.send(Cycle::ZERO, msg(0, 127, 1));
+        let mut now = Cycle::ZERO;
+        while network.stats().delivered < 2 {
+            network.tick(now);
+            now = now.next();
+            assert!(now.as_u64() < 500, "packets not delivered");
+        }
+        assert_eq!(network.next_delivered(0), Some(CoreId::new(64)));
+        assert_eq!(network.next_delivered(65), Some(CoreId::new(127)));
+        assert_eq!(network.next_delivered(128), None);
+        network.check_invariants();
+    }
+
+    #[test]
+    fn desynchronised_inject_pending_is_a_violation() {
+        let mut network = net(NocConfig::baseline());
+        network.send(Cycle::ZERO, msg(5, 9, 8));
+        network.tick(Cycle::ZERO);
+        assert!(network.try_check_invariants().is_ok());
+        // The packet is streaming: queue empty, injection in progress.
+        network.inject_pending[5] = 0;
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::InjectPending { router: Coord::new(5, 0), cached: 0, actual: 1 })
+        );
+    }
+
+    #[test]
+    fn desynchronised_delivered_mask_is_a_violation() {
+        let mut network = net(NocConfig::baseline());
+        let node = CoreId::new(9);
+        network.send(Cycle::ZERO, msg(9, 9, 1));
+        let _ = run_until_delivered(&mut network, node, 20);
+        assert!(network.try_check_invariants().is_ok());
+        // A stale bit with nothing waiting.
+        network.delivered_mask[0] |= 1 << 9;
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::DeliveredMask { router: Coord::new(1, 1), flagged: true, waiting: 0 })
+        );
+        // A lost bit with a packet waiting.
+        network.send(Cycle::new(20), msg(9, 9, 1));
+        let mut now = Cycle::new(20);
+        while network.stats().delivered < 2 {
+            network.tick(now);
+            now = now.next();
+        }
+        network.delivered_mask[0] &= !(1 << 9);
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::DeliveredMask { router: Coord::new(1, 1), flagged: false, waiting: 1 })
+        );
     }
 
     #[test]
