@@ -46,7 +46,8 @@
 //!   --scale F            override the suite's default workload scale
 //!   --seeds N            average seed-swept suites over N workload seeds
 //!   --out PATH           merged artifact (default results/campaign/<suite>.jsonl)
-//!   --bench-out PATH     perf trajectory (default BENCH_campaign.json)
+//!   --bench-out PATH     perf trajectory (default BENCH_campaign.json, or
+//!                        PATH with extension .bench.json when --out is given)
 //!   --jsonl              per-cell JSONL telemetry on stdout
 //!   --quiet              no per-cell progress on stderr
 //!   --adaptive           sequential analysis: run each cell's seed stream
@@ -490,7 +491,7 @@ fn parse_campaign_args(args: &[String]) -> Result<Option<CampaignArgs>, String> 
     let mut seeds_given = false;
     let mut adaptive = AdaptiveCli::default();
     let mut out: Option<PathBuf> = None;
-    let mut bench_out = PathBuf::from("BENCH_campaign.json");
+    let mut bench_out: Option<PathBuf> = None;
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         let mut value = || {
@@ -540,7 +541,7 @@ fn parse_campaign_args(args: &[String]) -> Result<Option<CampaignArgs>, String> 
                 seeds_given = true;
             }
             "--out" => out = Some(PathBuf::from(value()?)),
-            "--bench-out" => bench_out = PathBuf::from(value()?),
+            "--bench-out" => bench_out = Some(PathBuf::from(value()?)),
             "--jsonl" => exec.cell_jsonl = true,
             "--quiet" => exec.progress = false,
             other if !other.starts_with("--") && suite.is_none() => {
@@ -562,6 +563,12 @@ fn parse_campaign_args(args: &[String]) -> Result<Option<CampaignArgs>, String> 
             return Err("--jsonl is not supported with --adaptive".to_string());
         }
     }
+    // A run writing its artifact elsewhere (a probe) keeps its timings
+    // next to that artifact, out of the committed trajectory.
+    let bench_out = bench_out.unwrap_or_else(|| match &out {
+        Some(path) => path.with_extension("bench.json"),
+        None => PathBuf::from("BENCH_campaign.json"),
+    });
     exec.merged_out = Some(out.unwrap_or_else(|| {
         if adaptive.enabled {
             PathBuf::from(format!("results/campaign/{suite}-adaptive.jsonl"))

@@ -966,6 +966,13 @@ impl L1Cache {
         }
     }
 
+    /// True when the retransmission timer is armed, whether or not
+    /// retries remain: [`fire_recovery`](Self::fire_recovery) acts once
+    /// it is due.
+    pub fn recovery_armed(&self) -> bool {
+        self.recovery.as_ref().is_some_and(|t| t.deadline.is_some())
+    }
+
     /// True when the retransmission timer is armed and retries remain —
     /// the stalled transaction can still make progress on its own, so
     /// watchdog-style invariants must hold fire.

@@ -167,15 +167,23 @@ impl CoreModel {
     /// operation's completion is ready. In every other state `tick`
     /// returns without touching the core, the L1 or the outbox.
     pub(crate) fn is_due(&self, now: Cycle, l1: &L1Cache) -> bool {
+        now.as_u64() >= self.due_at(l1)
+    }
+
+    /// The first cycle at which the core is due while its state and its
+    /// L1's completion stay as they are: 0 when dispatching or with a
+    /// completion ready, a timed state's `until`, and `u64::MAX` while it
+    /// waits on an event from outside (a completion, a wakeup) or is done.
+    pub(crate) fn due_at(&self, l1: &L1Cache) -> u64 {
         match self.state {
-            CoreState::Dispatch => true,
+            CoreState::Dispatch => 0,
             CoreState::Computing { until }
             | CoreState::PausedUntil { until }
             | CoreState::FallingAsleep { until }
             | CoreState::Waking { until }
-            | CoreState::CsBody { until } => now >= until,
-            CoreState::MemWait => l1.completion_ready(),
-            CoreState::Sleeping | CoreState::Done => false,
+            | CoreState::CsBody { until } => until.as_u64(),
+            CoreState::MemWait if l1.completion_ready() => 0,
+            CoreState::MemWait | CoreState::Sleeping | CoreState::Done => u64::MAX,
         }
     }
 

@@ -92,6 +92,18 @@ pub enum InvariantViolation {
         /// Cycle the stalled transaction was issued.
         issued_at: Cycle,
     },
+    /// A tile with due work is missing from the activity set its
+    /// per-cycle step walks, so that step would skip it.
+    ActivitySet {
+        /// Cycle of the check.
+        cycle: Cycle,
+        /// Which set: `"home"` (banks holding messages), `"l1"` (L1s
+        /// with a completion or recovery timer) or `"core"` (cores with
+        /// a due cycle).
+        set: &'static str,
+        /// The skipped tile.
+        tile: CoreId,
+    },
 }
 
 impl fmt::Display for InvariantViolation {
@@ -123,6 +135,13 @@ impl fmt::Display for InvariantViolation {
                      with the network and all homes idle — an InvAck was lost",
                     cycle.as_u64(),
                     issued_at.as_u64()
+                )
+            }
+            InvariantViolation::ActivitySet { cycle, set, tile } => {
+                write!(
+                    f,
+                    "cycle {}: {tile} has due work but is missing from the {set} activity set",
+                    cycle.as_u64()
                 )
             }
         }

@@ -8,7 +8,7 @@ use crate::program::ThreadProgram;
 use inpg_coherence::{CoherenceMsg, Envelope, HomeBank, HomeMap, InvAckRoundTrips, L1Cache};
 use inpg_locks::{LockHandle, LockLayout, LockPrimitive};
 use inpg_noc::{Message, Network, NocStats};
-use inpg_sim::{Addr, ConfigError, CoreId, Cycle, LockId, Watchdog};
+use inpg_sim::{Addr, ConfigError, CoreId, Cycle, LockId, TileSet, Watchdog};
 use inpg_stats::{PhaseCounters, Timeline};
 use std::collections::BTreeMap;
 
@@ -46,6 +46,18 @@ pub struct System {
     now: Cycle,
     /// Cores whose program has finished.
     cores_done: usize,
+    /// Activity sets: each is a superset of the tiles its per-cycle step
+    /// can act on, and the step walks only its members. Home banks that
+    /// may hold messages (set on delivery, cleared once drained).
+    home_live: TileSet,
+    /// L1s that may have a completion or recovery timer armed (set after
+    /// every call that can arm one, cleared once neither is).
+    l1_live: TileSet,
+    /// Cores whose `next_due` is finite.
+    core_live: TileSet,
+    /// Per core, a cycle no later than the first at which it is due
+    /// ([`CoreModel::due_at`]), or `u64::MAX` while it waits on an event.
+    next_due: Vec<u64>,
     outbox: Vec<Envelope>,
     /// Core whose delivered packets are logged to stderr
     /// (`INPG_TRACE_CORE`, debugging aid; read once at construction).
@@ -169,6 +181,11 @@ impl System {
             lock_layouts,
             now: Cycle::ZERO,
             cores_done: 0,
+            home_live: TileSet::new(cores),
+            l1_live: TileSet::new(cores),
+            // Every core starts out dispatching, due at once.
+            core_live: TileSet::full(cores),
+            next_due: vec![0; cores],
             outbox: Vec::new(),
             trace_core: std::env::var("INPG_TRACE_CORE").ok().and_then(|v| v.parse().ok()),
             abort: None,
@@ -223,17 +240,18 @@ impl System {
     /// as typed errors.
     ///
     /// Only tiles with due work step: a home bank holding messages, an
-    /// L1 with a scheduled completion, a core whose state can advance,
-    /// and a node with delivered packets. Every skipped step would have
-    /// returned without changing any state, so the gating changes host
-    /// time only.
+    /// L1 with a scheduled completion or recovery timer, a core whose
+    /// state can advance, and a node with delivered packets. Each step
+    /// walks an activity set that holds at least those tiles and
+    /// re-checks the gate on each member, and every skipped step would
+    /// have returned without changing any state, so the gating changes
+    /// host time only.
     ///
     /// # Errors
     ///
     /// [`SimError::Protocol`] naming the violation and the cycle.
     pub fn try_tick(&mut self) -> Result<(), SimError> {
         let now = self.now;
-        let cores = self.cfg.cores();
 
         // 1. The network moves flits and delivers packets.
         self.network.tick(now);
@@ -256,9 +274,11 @@ impl System {
                     | CoherenceMsg::UnblockS { .. }
                     | CoherenceMsg::UnblockX { .. } => {
                         self.homes[c].handle(packet.payload, now);
+                        self.home_live.set(c);
                     }
                     CoherenceMsg::OsWakeup { .. } => {
                         self.cores[c].on_wakeup_ipi(now);
+                        self.refresh_core(c);
                     }
                     msg @ (CoherenceMsg::FwdGetS { .. }
                     | CoherenceMsg::FwdGetX { .. }
@@ -284,6 +304,8 @@ impl System {
                         let mut outbox = std::mem::take(&mut self.outbox);
                         let handled = self.l1s[c].try_handle(msg, now, &mut outbox);
                         self.flush(c, outbox);
+                        self.l1_live.set(c);
+                        self.refresh_core(c);
                         handled.map_err(|error| SimError::Protocol { cycle: now, error })?;
                     }
                 }
@@ -291,52 +313,79 @@ impl System {
         }
 
         // 3. Home banks holding messages process one request each.
-        for c in 0..cores {
-            if !self.homes[c].messages_pending() {
-                continue;
+        let mut next = 0;
+        while let Some(c) = self.home_live.next_from(next) {
+            next = c + 1;
+            let mut ticked = Ok(());
+            if self.homes[c].messages_pending() {
+                let mut outbox = std::mem::take(&mut self.outbox);
+                ticked = self.homes[c].try_tick(now, &mut outbox);
+                self.flush(c, outbox);
             }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            let ticked = self.homes[c].try_tick(now, &mut outbox);
-            self.flush(c, outbox);
+            if !self.homes[c].messages_pending() {
+                self.home_live.clear(c);
+            }
             ticked.map_err(|error| SimError::Protocol { cycle: now, error })?;
         }
 
-        // 4. L1 timers with a completion scheduled.
-        for l1 in &mut self.l1s {
-            if l1.timers_pending() {
-                l1.tick(now);
-            }
-        }
-
-        // 4b. Recovery retransmission timers: a due timer aborts the
-        // wedged exclusive transaction and reissues it under a fresh
-        // sequence number.
-        if self.cfg.recover {
-            for c in 0..cores {
-                if self.l1s[c].recovery_due(now) {
-                    let mut outbox = std::mem::take(&mut self.outbox);
-                    self.l1s[c].fire_recovery(now, &mut outbox);
-                    self.flush(c, outbox);
+        // 4. L1 timers: a scheduled completion, then a due recovery
+        // retransmission, which aborts the wedged exclusive transaction
+        // and reissues it under a fresh sequence number. L1 ticks send
+        // nothing, so the retransmissions still go out in tile order.
+        let mut next = 0;
+        while let Some(c) = self.l1_live.next_from(next) {
+            next = c + 1;
+            if self.l1s[c].timers_pending() {
+                self.l1s[c].tick(now);
+                if self.l1s[c].completion_ready() {
+                    self.next_due[c] = 0;
+                    self.core_live.set(c);
                 }
+            }
+            if self.cfg.recover && self.l1s[c].recovery_due(now) {
+                let mut outbox = std::mem::take(&mut self.outbox);
+                self.l1s[c].fire_recovery(now, &mut outbox);
+                self.flush(c, outbox);
+            }
+            if !self.l1s[c].timers_pending() && !self.l1s[c].recovery_armed() {
+                self.l1_live.clear(c);
             }
         }
 
         // 5. Cores with due work execute. A finished core is never due,
         // so each one is counted once.
-        for c in 0..cores {
-            if !self.cores[c].is_due(now, &self.l1s[c]) {
+        let mut next = 0;
+        while let Some(c) = self.core_live.next_from(next) {
+            next = c + 1;
+            if self.next_due[c] > now.as_u64() {
                 continue;
             }
-            let mut outbox = std::mem::take(&mut self.outbox);
-            self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
-            self.flush(c, outbox);
-            if self.cores[c].is_done() {
-                self.cores_done += 1;
+            if self.cores[c].is_due(now, &self.l1s[c]) {
+                let mut outbox = std::mem::take(&mut self.outbox);
+                self.cores[c].tick(now, &mut self.l1s[c], &mut outbox, self.timeline.as_mut());
+                self.flush(c, outbox);
+                self.l1_live.set(c);
+                if self.cores[c].is_done() {
+                    self.cores_done += 1;
+                }
             }
+            self.refresh_core(c);
         }
 
         self.now = now.next();
         Ok(())
+    }
+
+    /// Recomputes core `c`'s due cycle and its membership of the core
+    /// activity set, after anything that can change its state.
+    fn refresh_core(&mut self, c: usize) {
+        let due = self.cores[c].due_at(&self.l1s[c]);
+        self.next_due[c] = due;
+        if due == u64::MAX {
+            self.core_live.clear(c);
+        } else {
+            self.core_live.set(c);
+        }
     }
 
     /// Sends every envelope produced by tile `c`, reusing the buffer.
@@ -456,7 +505,11 @@ impl System {
     ///   every home bank idle, no core may still be short of promised
     ///   invalidation acknowledgements (a lost `InvAck` wedges the
     ///   winner forever, the failure mode iNPG's ack relaying must
-    ///   avoid).
+    ///   avoid);
+    /// * **Activity sets** — every home bank holding messages, every L1
+    ///   with a completion or recovery timer armed and every core with a
+    ///   due cycle is in the set its per-cycle step walks, and no core's
+    ///   cached due cycle is later than its state's.
     ///
     /// # Errors
     ///
@@ -467,6 +520,7 @@ impl System {
         self.network
             .try_check_invariants()
             .map_err(|violation| InvariantViolation::Noc { cycle: now, violation })?;
+        self.check_activity_sets()?;
 
         let mut owners: BTreeMap<Addr, Vec<CoreId>> = BTreeMap::new();
         for l1 in &self.l1s {
@@ -508,6 +562,30 @@ impl System {
                         issued_at,
                     });
                 }
+            }
+        }
+        Ok(())
+    }
+
+    /// Recomputes each tile's pending work from component state and
+    /// reports the first tile missing from the set its step walks.
+    fn check_activity_sets(&self) -> Result<(), InvariantViolation> {
+        let missing = |set, c| InvariantViolation::ActivitySet {
+            cycle: self.now,
+            set,
+            tile: CoreId::new(c),
+        };
+        for c in 0..self.cfg.cores() {
+            if self.homes[c].messages_pending() && !self.home_live.contains(c) {
+                return Err(missing("home", c));
+            }
+            let l1 = &self.l1s[c];
+            if (l1.timers_pending() || l1.recovery_armed()) && !self.l1_live.contains(c) {
+                return Err(missing("l1", c));
+            }
+            let due = self.cores[c].due_at(l1);
+            if due != u64::MAX && (!self.core_live.contains(c) || self.next_due[c] > due) {
+                return Err(missing("core", c));
             }
         }
         Ok(())
@@ -688,5 +766,69 @@ impl System {
     /// The home tile of an address (testing/diagnostics).
     pub fn home_of(&self, addr: Addr) -> CoreId {
         self.home_map.home_of(addr)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use inpg_noc::NocConfig;
+
+    /// A 4×4 iNPG hot TAS lock, 16 threads of two rounds.
+    fn hot_lock() -> System {
+        let mut cfg = SystemConfig::paper_default();
+        cfg.noc = NocConfig { width: 4, height: 4, ..cfg.noc };
+        cfg.primitive = LockPrimitive::Tas;
+        let programs = (0..16)
+            .map(|_| ThreadProgram::new().rounds(2, 20, LockId::new(0), 10))
+            .collect();
+        System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(5))).expect("valid config")
+    }
+
+    /// Ticks until `found` names a tile, checking invariants each cycle.
+    fn tick_until(system: &mut System, found: impl Fn(&System) -> Option<usize>) -> usize {
+        for _ in 0..20_000 {
+            system.tick();
+            assert_eq!(system.check_protocol_invariants(), Ok(()));
+            if let Some(c) = found(system) {
+                return c;
+            }
+        }
+        panic!("condition never held");
+    }
+
+    fn missing(system: &System, set: &'static str, c: usize) -> Result<(), InvariantViolation> {
+        Err(InvariantViolation::ActivitySet { cycle: system.now(), set, tile: CoreId::new(c) })
+    }
+
+    #[test]
+    fn home_missing_from_its_set_is_a_violation() {
+        let mut system = hot_lock();
+        let c = tick_until(&mut system, |s| (0..16).find(|&c| s.homes[c].messages_pending()));
+        system.home_live.clear(c);
+        assert_eq!(system.check_protocol_invariants(), missing(&system, "home", c));
+    }
+
+    #[test]
+    fn l1_missing_from_its_set_is_a_violation() {
+        let mut system = hot_lock();
+        let c = tick_until(&mut system, |s| (0..16).find(|&c| s.l1s[c].timers_pending()));
+        system.l1_live.clear(c);
+        assert_eq!(system.check_protocol_invariants(), missing(&system, "l1", c));
+    }
+
+    #[test]
+    fn core_missing_from_its_set_or_due_late_is_a_violation() {
+        let mut system = hot_lock();
+        // Every core starts out dispatching, due at once.
+        system.core_live.clear(3);
+        assert_eq!(system.check_protocol_invariants(), missing(&system, "core", 3));
+        system.core_live.set(3);
+        let c = tick_until(&mut system, |s| {
+            (0..16).find(|&c| s.next_due[c] > 0 && s.next_due[c] != u64::MAX)
+        });
+        // A cached due cycle later than the state's would skip the core.
+        system.next_due[c] += 1;
+        assert_eq!(system.check_protocol_invariants(), missing(&system, "core", c));
     }
 }

@@ -1,14 +1,15 @@
 //! Golden full-system digests for the runs no committed campaign
 //! artifact reaches: a 4×4 mesh with the recovery layer armed under
-//! every injected fault kind, and a QSL+OCOR run recording its phase
-//! timeline.
+//! every injected fault kind, a QSL+OCOR run recording its phase
+//! timeline, and a 12×12 iNPG hot lock wider than one 64-bit word.
 //!
 //! Each digest is an FNV-1a hash over the run's [`RunResult`], every
 //! statistics getter of [`System`] and the per-thread phase counters, so
 //! a changed count anywhere in the machine changes it. Tick-scheduling
 //! changes (which tiles step in a cycle, in what order) must reproduce
-//! these digests exactly. The digests were recorded with the ungated
-//! per-tile tick loop that preceded activity-gated ticking.
+//! these digests exactly. The 4×4 digests were recorded with the ungated
+//! per-tile tick loop that preceded activity-gated ticking, and the
+//! 12×12 digest with the per-tile sweeps that preceded the activity sets.
 
 use inpg_locks::LockPrimitive;
 use inpg_manycore::{LockPlacement, RunResult, System, SystemConfig, ThreadProgram};
@@ -145,4 +146,25 @@ fn qsl_ocor_timeline_run_is_pinned() {
     assert!(slept > 0, "the run must exercise the sleep path");
     assert!(system.timeline().is_some());
     assert_eq!(digest(&system, result), 4_955_000_263_391_145_401);
+}
+
+/// A 12×12 iNPG hot lock: 144 tiles span three 64-bit words of every
+/// per-tile index, with the lock homed past the first word boundary.
+#[test]
+fn wide_mesh_inpg_hot_lock_is_pinned() {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.noc = NocConfig { width: 12, height: 12, ..cfg.noc };
+    cfg.primitive = LockPrimitive::Tas;
+    cfg.max_cycles = 3_000_000;
+    cfg.invariant_check_interval = Some(512);
+    let cores = cfg.cores();
+    let programs =
+        (0..cores).map(|_| ThreadProgram::new().rounds(2, 30, LockId::new(0), 20)).collect();
+    let mut system = System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(77)))
+        .expect("valid configuration");
+    let result = system.run_checked().expect("the run must complete");
+    assert!(result.completed);
+    assert_eq!(system.cs_completed(), cores * 2);
+    assert!(system.barrier_stats().requests_stopped > 0, "big routers must stop requests");
+    assert_eq!(digest(&system, result), 3_387_485_542_686_834_393);
 }

@@ -54,9 +54,14 @@ fn ticket_system(cfg: SystemConfig, faults: FaultPlan) -> System {
     System::new(cfg, programs, 1, LockPlacement::At(CoreId::new(5))).unwrap()
 }
 
-/// A TAS storm: test-and-set spins are RMWs, so every REQUEST-class
-/// packet is an exclusive request the recovery layer can retransmit
-/// (no plain loads, which recovery deliberately does not cover).
+/// A TAS storm on one hot line. The TAS lock machine spins on plain
+/// `GetS` loads between its test-and-set RMWs, so REQUEST-class packets
+/// mix exclusive requests, which the recovery layer retransmits, with
+/// spin reads, which it does not: recovery re-arms only on exclusive
+/// requests. A dropped spin read therefore wedges the run even with
+/// recovery armed. With recovery on (4×4, budget 4), only link-drop
+/// ordinals 17, 30 and 34-39 in 1..=39 recover; the others hit a spin
+/// read and stall in `TasSpinWait`.
 fn tas_system(cfg: SystemConfig, faults: FaultPlan) -> System {
     let mut cfg = cfg;
     cfg.noc.faults = faults;

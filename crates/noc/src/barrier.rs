@@ -461,6 +461,12 @@ impl LockingBarrierTable {
         }
     }
 
+    /// Whether [`tick`](Self::tick) would change nothing: no live
+    /// barriers, and not Degraded (a Degraded table heals on a tick).
+    pub fn is_quiet(&self) -> bool {
+        self.fsm.barrier_count() == 0 && self.health != RouterHealth::Degraded
+    }
+
     /// Live barrier count.
     pub fn barrier_count(&self) -> usize {
         self.fsm.barrier_count()

@@ -1,5 +1,6 @@
 //! Typed invariant violations the network's self-checks can report.
 
+use crate::barrier::RouterHealth;
 use crate::coord::Coord;
 use inpg_sim::Addr;
 use std::fmt;
@@ -45,6 +46,34 @@ pub enum NocViolation {
         flagged: bool,
         /// Packets awaiting pickup at the node.
         waiting: usize,
+    },
+    /// A router holding flits or generated packets is missing from the
+    /// active set, so the interception and switch phases would skip it.
+    ActiveRouters {
+        /// Router coordinate.
+        router: Coord,
+        /// The router's occupied-VC mask.
+        occupied: u64,
+        /// Packets in its generator queue.
+        generated: usize,
+    },
+    /// A node with packets to inject is missing from the injection set,
+    /// so the injection phase would skip it.
+    InjectMask {
+        /// Router coordinate of the node.
+        router: Coord,
+        /// Packets queued or streaming at its network interface.
+        pending: usize,
+    },
+    /// A big router whose barrier table a tick would change is missing
+    /// from the barrier-live set, so its TTLs would stop counting down.
+    BarrierLive {
+        /// Big router coordinate.
+        router: Coord,
+        /// Live barriers in its table.
+        barriers: usize,
+        /// The table's health state.
+        health: RouterHealth,
     },
     /// Credits plus downstream occupancy no longer equal the VC depth.
     CreditConservation {
@@ -97,6 +126,21 @@ impl fmt::Display for NocViolation {
                 f,
                 "router {router}: delivered bit {} with {waiting} packet(s) awaiting pickup",
                 if *flagged { "set" } else { "clear" }
+            ),
+            NocViolation::ActiveRouters { router, occupied, generated } => write!(
+                f,
+                "router {router}: occupied-VC mask {occupied:#x} and {generated} generated \
+                 packet(s) but missing from the active set"
+            ),
+            NocViolation::InjectMask { router, pending } => write!(
+                f,
+                "router {router}: {pending} packet(s) awaiting injection but missing from \
+                 the injection set"
+            ),
+            NocViolation::BarrierLive { router, barriers, health } => write!(
+                f,
+                "big router {router}: {health} table with {barriers} live barrier(s) but \
+                 missing from the barrier-live set"
             ),
             NocViolation::CreditConservation { router, port, vc, credits, occupancy, depth } => {
                 write!(

@@ -8,7 +8,7 @@ use crate::invariant::NocViolation;
 use crate::packet::{Packet, PacketGenPayload, PacketId, Sink, VirtualNetwork};
 use crate::router::{Bids, EjectSlot, Flit, InputVc, OutRoute, Router, SetBits};
 use crate::stats::NocStats;
-use inpg_sim::{ConfigError, CoreId, Cycle};
+use inpg_sim::{ConfigError, CoreId, Cycle, TileSet};
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 
@@ -76,14 +76,28 @@ pub struct Network<P> {
     /// Per-node round-robin over vnets at the injection port.
     inject_rr: Vec<usize>,
     /// Per-node packets not yet fully injected: queued in `inject` plus
-    /// streaming per `inject_state`. The injection phase skips nodes at
-    /// zero.
+    /// streaming per `inject_state`.
     inject_pending: Vec<usize>,
+    /// Nodes with a nonzero `inject_pending`: the injection phase visits
+    /// only these.
+    inject_mask: TileSet,
     /// Per-node delivered packets awaiting pickup by the tile.
     delivered: Vec<VecDeque<Packet<P>>>,
-    /// Bit `node % 64` of word `node / 64` is set while `delivered[node]`
-    /// is non-empty, so the tile side visits only nodes with packets.
-    delivered_mask: Vec<u64>,
+    /// Nodes whose `delivered` queue is non-empty, so the tile side
+    /// visits only nodes with packets.
+    delivered_mask: TileSet,
+    /// A superset of the routers with buffered flits or generated
+    /// packets: the interception and switch phases visit only these.
+    /// Set wherever a flit or generated packet enters a router, cleared
+    /// by the switch phase once the router drains.
+    active: TileSet,
+    /// The big routers (those with a barrier table).
+    big: TileSet,
+    /// A superset of the big routers whose barrier table a tick can
+    /// change: live barriers, or a Degraded table waiting to heal. Set by
+    /// every interception action and fault that touches a table, cleared
+    /// once a tick leaves the table quiet.
+    barrier_live: TileSet,
     next_packet_id: u64,
     stats: NocStats,
     /// Fault-injection jitter stream state.
@@ -115,6 +129,7 @@ impl<P: PacketGenPayload> Network<P> {
         let nodes = cfg.nodes();
         let vcs = cfg.vcs_per_port();
         let mut routers = Vec::with_capacity(nodes);
+        let mut big = TileSet::new(nodes);
         for idx in 0..nodes {
             let coord = Coord::from_core(CoreId::new(idx), cfg.width, cfg.height);
             let barrier = cfg
@@ -131,6 +146,9 @@ impl<P: PacketGenPayload> Network<P> {
                     }
                     table
                 });
+            if barrier.is_some() {
+                big.set(idx);
+            }
             routers.push(Router::new(coord, vcs, cfg.vc_depth, barrier));
         }
         Ok(Network {
@@ -138,8 +156,12 @@ impl<P: PacketGenPayload> Network<P> {
             inject_state: (0..nodes).map(|_| vec![None; cfg.vnets as usize]).collect(),
             inject_rr: vec![0; nodes],
             inject_pending: vec![0; nodes],
+            inject_mask: TileSet::new(nodes),
             delivered: (0..nodes).map(|_| VecDeque::new()).collect(),
-            delivered_mask: vec![0; nodes.div_ceil(64)],
+            delivered_mask: TileSet::new(nodes),
+            active: TileSet::new(nodes),
+            big,
+            barrier_live: TileSet::new(nodes),
             next_packet_id: 0,
             stats: NocStats::default(),
             fault_rng: cfg.faults.seed ^ 0x6a09_e667_f3bc_c908,
@@ -191,6 +213,7 @@ impl<P: PacketGenPayload> Network<P> {
         self.stats.injected += 1;
         self.stats.in_flight += 1;
         self.inject_pending[msg.src.index()] += 1;
+        self.inject_mask.set(msg.src.index());
         self.inject[msg.src.index()][msg.vnet.index()].push_back(packet);
         id
     }
@@ -200,7 +223,7 @@ impl<P: PacketGenPayload> Network<P> {
         let n = node.index();
         let packet = self.delivered[n].pop_front();
         if self.delivered[n].is_empty() {
-            self.delivered_mask[n / 64] &= !(1 << (n % 64));
+            self.delivered_mask.clear(n);
         }
         packet
     }
@@ -210,13 +233,7 @@ impl<P: PacketGenPayload> Network<P> {
     /// [`pop_delivered`](Self::pop_delivered) and asking again from the
     /// next node visits every such node in ascending order.
     pub fn next_delivered(&self, from: usize) -> Option<CoreId> {
-        let mut word = from / 64;
-        let mut bits = *self.delivered_mask.get(word)? & (u64::MAX << (from % 64));
-        while bits == 0 {
-            word += 1;
-            bits = *self.delivered_mask.get(word)?;
-        }
-        Some(CoreId::new(word * 64 + bits.trailing_zeros() as usize))
+        self.delivered_mask.next_from(from).map(CoreId::new)
     }
 
     /// Packets currently inside the network (injected or generated but
@@ -269,6 +286,10 @@ impl<P: PacketGenPayload> Network<P> {
     /// * every node's injection-pending count equals its queued plus
     ///   streaming packets, and its delivered bit is set exactly when
     ///   packets await pickup,
+    /// * every tile that can act next cycle is in its activity set: a
+    ///   router holding flits or generated packets in `active`, a node
+    ///   with packets to inject in `inject_mask`, a big router whose
+    ///   barrier table is not quiet in `barrier_live`,
     /// * credits plus downstream buffer occupancy equal the VC depth,
     /// * every live barrier entry's TTL is in `1..=default`,
     /// * packets found by walking every queue and buffer equal
@@ -289,7 +310,13 @@ impl<P: PacketGenPayload> Network<P> {
                     actual: queued + streaming,
                 });
             }
-            let flagged = (self.delivered_mask[node / 64] >> (node % 64)) & 1 == 1;
+            if self.inject_pending[node] > 0 && !self.inject_mask.contains(node) {
+                return Err(NocViolation::InjectMask {
+                    router: router.coord,
+                    pending: self.inject_pending[node],
+                });
+            }
+            let flagged = self.delivered_mask.contains(node);
             if flagged == self.delivered[node].is_empty() {
                 return Err(NocViolation::DeliveredMask {
                     router: router.coord,
@@ -309,6 +336,14 @@ impl<P: PacketGenPayload> Network<P> {
                     router: router.coord,
                     cached: router.occupied,
                     actual,
+                });
+            }
+            if (router.occupied != 0 || !router.gen_queue.is_empty()) && !self.active.contains(node)
+            {
+                return Err(NocViolation::ActiveRouters {
+                    router: router.coord,
+                    occupied: router.occupied,
+                    generated: router.gen_queue.len(),
                 });
             }
             for dir in Direction::ALL {
@@ -335,6 +370,13 @@ impl<P: PacketGenPayload> Network<P> {
                 }
             }
             if let Some(barrier) = &router.barrier {
+                if !barrier.is_quiet() && !self.barrier_live.contains(node) {
+                    return Err(NocViolation::BarrierLive {
+                        router: router.coord,
+                        barriers: barrier.barrier_count(),
+                        health: barrier.health(),
+                    });
+                }
                 for (addr, ttl, _eis) in barrier.snapshot() {
                     if ttl == 0 || ttl > barrier.default_ttl() {
                         return Err(NocViolation::BarrierTtl {
@@ -368,7 +410,7 @@ impl<P: PacketGenPayload> Network<P> {
         }
         for router in &self.routers {
             n += router.gen_queue.len() as u64;
-            n += router.eject.len() as u64;
+            n += router.eject.iter().flatten().count() as u64;
             for port in &router.inputs {
                 for vc in port {
                     n += vc.flits.iter().filter(|f| f.head.is_some()).count() as u64;
@@ -485,7 +527,11 @@ impl<P: PacketGenPayload> Network<P> {
                     ),
                 );
             }
-            for slot in router.eject.values() {
+            // Ascending packet id, so ties on age resolve the same way
+            // whatever slot a packet reassembles in.
+            let mut ejecting: Vec<&EjectSlot<P>> = router.eject.iter().flatten().collect();
+            ejecting.sort_by_key(|slot| slot.packet.id);
+            for slot in ejecting {
                 let p = &slot.packet;
                 note(
                     p.injected_at,
@@ -531,9 +577,10 @@ impl<P: PacketGenPayload> Network<P> {
             if let Some(at) = self.cfg.faults.barrier_off_at() {
                 if now.as_u64() >= at {
                     self.barrier_disabled = true;
-                    for router in &mut self.routers {
+                    for (node, router) in self.routers.iter_mut().enumerate() {
                         if let Some(barrier) = router.barrier.as_mut() {
                             barrier.flush();
+                            self.barrier_live.set(node);
                         }
                     }
                 }
@@ -543,9 +590,10 @@ impl<P: PacketGenPayload> Network<P> {
             if let Some(at) = self.cfg.faults.ttl_storm_at() {
                 if now.as_u64() >= at {
                     self.ttl_storm_fired = true;
-                    for router in &mut self.routers {
+                    for (node, router) in self.routers.iter_mut().enumerate() {
                         if let Some(barrier) = router.barrier.as_mut() {
                             barrier.set_all_ttls(1);
+                            self.barrier_live.set(node);
                         }
                     }
                 }
@@ -555,9 +603,10 @@ impl<P: PacketGenPayload> Network<P> {
             if let Some(at) = self.cfg.faults.router_fail_at() {
                 if now.as_u64() >= at {
                     self.router_fail_fired = true;
-                    for router in &mut self.routers {
+                    for (node, router) in self.routers.iter_mut().enumerate() {
                         if let Some(barrier) = router.barrier.as_mut() {
                             barrier.fail();
+                            self.barrier_live.set(node);
                         }
                     }
                 }
@@ -568,12 +617,10 @@ impl<P: PacketGenPayload> Network<P> {
     // ---- interception (big-router packet generation) ------------------
 
     fn intercept_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
         let vcs = self.cfg.vcs_per_port();
-        for node in 0..nodes {
-            if !self.routers[node].is_big() {
-                continue;
-            }
+        let mut next = 0;
+        while let Some(node) = self.active.next_from_in(next, &self.big) {
+            next = node + 1;
             // Interception only pops the VC it inspects, so a snapshot of
             // the occupied VCs visits exactly the non-empty ones in order.
             for slot in SetBits(self.routers[node].occupied) {
@@ -624,6 +671,7 @@ impl<P: PacketGenPayload> Network<P> {
                 return;
             }
         };
+        self.barrier_live.set(node);
 
         match action {
             Action::ConsumeAck => {
@@ -737,10 +785,18 @@ impl<P: PacketGenPayload> Network<P> {
         id
     }
 
+    /// Buffers `flit` in `node`'s input VC `(port, vc)`, activating the
+    /// router.
+    fn push_flit(&mut self, node: usize, port: usize, vc: usize, flit: Flit<P>) {
+        self.routers[node].push_flit(port, vc, flit);
+        self.active.set(node);
+    }
+
     fn push_generated(&mut self, node: usize, packet: Packet<P>) {
         self.stats.generated_packets += 1;
         self.stats.in_flight += 1;
         self.routers[node].gen_queue.push_back(packet);
+        self.active.set(node);
     }
 
     /// Pops the (single-flit) head packet of a VC, returning credit to
@@ -787,19 +843,32 @@ impl<P: PacketGenPayload> Network<P> {
     // ---- barrier TTLs --------------------------------------------------
 
     fn barrier_tick_phase(&mut self) {
-        for router in &mut self.routers {
-            if let Some(barrier) = router.barrier.as_mut() {
+        let mut next = 0;
+        while let Some(node) = self.barrier_live.next_from(next) {
+            next = node + 1;
+            if let Some(barrier) = self.routers[node].barrier.as_mut() {
                 barrier.tick();
+                if barrier.is_quiet() {
+                    self.barrier_live.clear(node);
+                }
             }
         }
     }
 
     // ---- switch allocation & traversal ---------------------------------
 
+    /// Routers a neighbour's push activates mid-sweep may be passed
+    /// over: their only flits become eligible at `now + 2`, so visiting
+    /// them this cycle would change nothing.
     fn switch_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
-        for node in 0..nodes {
+        let mut next = 0;
+        while let Some(node) = self.active.next_from(next) {
+            next = node + 1;
             self.switch_router(now, node);
+            let router = &self.routers[node];
+            if router.occupied == 0 && router.gen_queue.is_empty() {
+                self.active.clear(node);
+            }
         }
     }
 
@@ -914,7 +983,7 @@ impl<P: PacketGenPayload> Network<P> {
         self.stats.flit_hops += 1;
 
         match out.port {
-            Port::Local => self.eject_flit(now, node, flit),
+            Port::Local => self.eject_flit(now, node, slot, flit),
             Port::Link(dir) => {
                 let router = &mut self.routers[node];
                 let p = out.port.index();
@@ -941,31 +1010,31 @@ impl<P: PacketGenPayload> Network<P> {
                 // cycles after leaving this one (2-cycle hop, Table 1's
                 // 2-stage pipelined router).
                 flit.eligible_at = now + 2;
-                self.routers[n_node].push_flit(in_port, out.vc, flit);
+                self.push_flit(n_node, in_port, out.vc, flit);
             }
         }
     }
 
-    /// Accumulates an ejected flit; delivers the packet when complete.
-    fn eject_flit(&mut self, now: Cycle, node: usize, flit: Flit<P>) {
-        let router = &mut self.routers[node];
-        let id = flit.packet_id;
+    /// Accumulates a flit ejected from input `slot`; delivers the packet
+    /// when complete.
+    fn eject_flit(&mut self, now: Cycle, node: usize, slot: usize, flit: Flit<P>) {
+        let reassembly = &mut self.routers[node].eject[slot];
         if let Some(packet) = flit.head {
-            router.eject.insert(id, EjectSlot { packet, flits_seen: 1 });
-        } else {
-            router
-                .eject
-                .get_mut(&id)
-                // lint: allow(unwrap) — wormhole switching keeps a packet's
-                // flits in order, so the head opened this slot already.
-                .expect("body flit follows its head at ejection")
-                .flits_seen += 1;
+            debug_assert!(reassembly.is_none(), "one packet reassembles per input slot");
+            *reassembly = Some(EjectSlot { packet, flits_seen: 1 });
+        } else if let Some(open) = reassembly.as_mut() {
+            debug_assert_eq!(open.packet.id, flit.packet_id, "body flit follows its head");
+            open.flits_seen += 1;
         }
         if flit.tail {
-            // lint: allow(unwrap) — inserted or incremented a few lines up.
-            let slot = router.eject.remove(&id).expect("slot just touched");
-            debug_assert_eq!(slot.flits_seen, slot.packet.flits, "all flits ejected");
-            let packet = *slot.packet;
+            let open = reassembly
+                .take()
+                // lint: allow(unwrap) — wormhole switching keeps a packet's
+                // flits in order on one input VC, so its head opened this
+                // slot already.
+                .expect("tail flit follows its head at ejection");
+            debug_assert_eq!(open.flits_seen, open.packet.flits, "all flits ejected");
+            let packet = *open.packet;
             debug_assert_eq!(packet.sink, Sink::NetworkInterface, "router-sink packets are consumed by interception");
             if self.cfg.faults.drop_ack_nth().is_some() && packet.payload.is_inv_ack() {
                 self.acks_observed += 1;
@@ -983,19 +1052,17 @@ impl<P: PacketGenPayload> Network<P> {
             self.stats.record_delivery(packet.vnet, latency);
             self.stats.in_flight -= 1;
             self.delivered[node].push_back(packet);
-            self.delivered_mask[node / 64] |= 1 << (node % 64);
+            self.delivered_mask.set(node);
         }
     }
 
     // ---- injection -------------------------------------------------------
 
     fn inject_phase(&mut self, now: Cycle) {
-        let nodes = self.cfg.nodes();
         let vnets = self.cfg.vnets as usize;
-        for node in 0..nodes {
-            if self.inject_pending[node] == 0 {
-                continue;
-            }
+        let mut next = 0;
+        while let Some(node) = self.inject_mask.next_from(next) {
+            next = node + 1;
             let start = self.inject_rr[node];
             for offset in 0..vnets {
                 let vnet = (start + offset) % vnets;
@@ -1003,6 +1070,9 @@ impl<P: PacketGenPayload> Network<P> {
                     self.inject_rr[node] = vnet + 1;
                     break;
                 }
+            }
+            if self.inject_pending[node] == 0 {
+                self.inject_mask.clear(node);
             }
         }
     }
@@ -1023,7 +1093,7 @@ impl<P: PacketGenPayload> Network<P> {
             let tail = sent == progress.total;
             let flit =
                 Flit { packet_id: progress.packet_id, head: None, tail, eligible_at: now + 1 };
-            self.routers[node].push_flit(local, progress.vc, flit);
+            self.push_flit(node, local, progress.vc, flit);
             self.inject_state[node][vnet] =
                 (!tail).then_some(InjectProgress { sent, ..progress });
             if tail {
@@ -1076,7 +1146,7 @@ impl<P: PacketGenPayload> Network<P> {
             }
         }
         let flit = Flit { packet_id: id, head: Some(Box::new(packet)), tail, eligible_at };
-        self.routers[node].push_flit(local, vc, flit);
+        self.push_flit(node, local, vc, flit);
         if tail {
             self.inject_pending[node] -= 1;
         } else {
@@ -1335,7 +1405,7 @@ mod tests {
         let _ = run_until_delivered(&mut network, node, 20);
         assert!(network.try_check_invariants().is_ok());
         // A stale bit with nothing waiting.
-        network.delivered_mask[0] |= 1 << 9;
+        network.delivered_mask.set(9);
         assert_eq!(
             network.try_check_invariants(),
             Err(NocViolation::DeliveredMask { router: Coord::new(1, 1), flagged: true, waiting: 0 })
@@ -1347,11 +1417,73 @@ mod tests {
             network.tick(now);
             now = now.next();
         }
-        network.delivered_mask[0] &= !(1 << 9);
+        network.delivered_mask.clear(9);
         assert_eq!(
             network.try_check_invariants(),
             Err(NocViolation::DeliveredMask { router: Coord::new(1, 1), flagged: false, waiting: 1 })
         );
+    }
+
+    /// A 16×8 mesh: node ids 64..128 live in the second word of every
+    /// per-node set.
+    fn wide() -> NocConfig {
+        NocConfig { width: 16, height: 8, ..NocConfig::paper_default() }
+    }
+
+    #[test]
+    fn router_missing_from_the_active_set_is_a_violation() {
+        let mut network = net(wide());
+        network.send(Cycle::ZERO, msg(100, 3, 1));
+        network.tick(Cycle::ZERO);
+        assert!(network.try_check_invariants().is_ok());
+        // The head flit sits in node 100's local input VC.
+        let occupied = network.routers[100].occupied;
+        assert_ne!(occupied, 0);
+        network.active.clear(100);
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::ActiveRouters { router: Coord::new(4, 6), occupied, generated: 0 })
+        );
+    }
+
+    #[test]
+    fn node_missing_from_the_injection_set_is_a_violation() {
+        let mut network = net(wide());
+        network.send(Cycle::ZERO, msg(70, 3, 1));
+        assert!(network.try_check_invariants().is_ok());
+        network.inject_mask.clear(70);
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::InjectMask { router: Coord::new(6, 4), pending: 1 })
+        );
+    }
+
+    #[test]
+    fn live_barrier_missing_from_its_set_is_a_violation_until_it_expires() {
+        let mut network = net(wide());
+        // (1, 4) is big under the checkerboard placement.
+        let node = 65;
+        let table = network.routers[node].barrier.as_mut().expect("big router");
+        assert!(table.observe_transfer(inpg_sim::Addr::new(0x40)));
+        assert_eq!(
+            network.try_check_invariants(),
+            Err(NocViolation::BarrierLive {
+                router: Coord::new(1, 4),
+                barriers: 1,
+                health: crate::barrier::RouterHealth::Healthy,
+            })
+        );
+        // Once in the set, the barrier counts down, expires, and leaves
+        // the set on the tick that empties the table.
+        network.barrier_live.set(node);
+        let ttl = u64::from(network.cfg.barrier_ttl);
+        for cycle in 0..ttl {
+            assert!(network.barrier_live.contains(node));
+            network.tick(Cycle::new(cycle));
+            network.check_invariants();
+        }
+        assert_eq!(network.barrier_stats().barriers_expired, 1);
+        assert!(!network.barrier_live.contains(node));
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::barrier::LockingBarrierTable;
 use crate::coord::{Coord, Port};
 use crate::packet::{Packet, PacketGenPayload, PacketId};
 use inpg_sim::Cycle;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One flit in a buffer. The head flit carries the packet; body flits
 /// carry only the packet identity for reassembly.
@@ -131,9 +131,11 @@ pub(crate) struct Router<P> {
     /// Round-robin pointer per output port: the lowest input slot that
     /// has priority in the next grant.
     pub rr: [usize; 5],
-    /// In-progress ejection reassembly. Ordered so router state stays
-    /// canonical — iteration order must not depend on hash seeds.
-    pub eject: BTreeMap<PacketId, EjectSlot<P>>,
+    /// In-progress ejection reassembly, indexed by the input slot the
+    /// packet ejects from (the generator slot included). A packet's
+    /// flits all arrive through one input VC, so a slot reassembles at
+    /// most one packet at a time, and ejecting never allocates.
+    pub eject: Vec<Option<EjectSlot<P>>>,
     /// VCs per input port.
     pub vcs: usize,
     /// Non-empty input VCs, bit `port * vcs + vc`: the per-cycle sweeps
@@ -158,7 +160,7 @@ impl<P: PacketGenPayload> Router<P> {
             gen_queue: VecDeque::new(),
             barrier,
             rr: [0; 5],
-            eject: BTreeMap::new(),
+            eject: (0..=5 * vcs_per_port).map(|_| None).collect(),
             vcs: vcs_per_port,
             occupied: 0,
         }

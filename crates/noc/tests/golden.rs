@@ -1,11 +1,12 @@
-//! Golden delivery logs: three fixed traffic mixes whose
+//! Golden delivery logs: four fixed traffic mixes whose
 //! `(cycle, node, packet id)` delivery sequences are pinned by digest.
 //!
 //! Every router-pipeline change (arbitration, VC allocation, injection,
 //! interception) must reproduce these logs exactly; a digest mismatch
-//! means simulated behaviour moved, not just speed. The digests were
+//! means simulated behaviour moved, not just speed. The 8×8 digests were
 //! recorded with the per-output-port candidate scan that preceded the
-//! one-pass switch allocator.
+//! one-pass switch allocator, and the 16×16 digest with the all-router
+//! sweeps that preceded the activity sets.
 
 use inpg_noc::packet::{EarlyAck, LockRequest, PacketGenPayload, Sink, VirtualNetwork};
 use inpg_noc::{BigRouterPlacement, Message, Network, NocConfig};
@@ -219,4 +220,38 @@ fn mixed_size_hotspot_traffic_log_is_pinned() {
         }
     });
     assert_eq!(log, Log { delivered: 1525, digest: 7238028070363734906 });
+}
+
+/// A 16×16 mesh spans four 64-bit words of every per-node index, so
+/// routers, big routers and injection points on both sides of each word
+/// boundary carry traffic, including lock requests stopped at big
+/// routers.
+#[test]
+fn wide_mesh_lock_traffic_log_is_pinned() {
+    let cfg = NocConfig { width: 16, height: 16, ..NocConfig::paper_default() };
+    let mut rng = Rng(4);
+    let (log, network) = run(cfg, 1000, |now, network| {
+        for src in 0..256 {
+            let roll = rng.below(1000);
+            if roll < 8 {
+                let lock = rng.below(4);
+                let home = [9, 100, 170, 250][lock as usize];
+                let addr = Addr::new(0x2000 + 0x40 * lock);
+                let payload = Msg::LockGetx {
+                    addr,
+                    requester: CoreId::new(src as usize),
+                    home: CoreId::new(home as usize),
+                };
+                network.send(now, message(src, home, 0, 1, 0, payload));
+            } else if roll < 20 {
+                let dst = rng.below(256);
+                let vnet = rng.below(4) as u8;
+                let flits = if rng.below(4) == 0 { 8 } else { 1 };
+                network.send(now, message(src, dst, vnet, flits, 0, Msg::Data));
+            }
+        }
+    });
+    assert_eq!(log, Log { delivered: 9126, digest: 7398517577761208549 });
+    assert!(network.stats().early_invs_generated > 0);
+    assert!(network.barrier_stats().acks_relayed > 0);
 }

@@ -12,6 +12,8 @@
 //! * a cycle-keyed event wheel ([`event::EventWheel`]) used by components
 //!   that sleep for a known number of cycles (core compute phases, OS
 //!   context switches, barrier TTLs);
+//! * a per-tile bitset ([`TileSet`]) that the per-cycle sweeps walk to
+//!   visit only tiles with pending work;
 //! * shared configuration error types.
 //!
 //! # Example
@@ -32,12 +34,14 @@ pub mod coverage;
 pub mod event;
 pub mod ids;
 pub mod rng;
+pub mod tileset;
 pub mod watchdog;
 
 pub use abort::AbortHandle;
 pub use event::EventWheel;
 pub use ids::{Addr, CoreId, Cycle, LockId, ThreadId};
 pub use rng::SimRng;
+pub use tileset::TileSet;
 pub use watchdog::Watchdog;
 
 use std::error::Error;
